@@ -53,7 +53,7 @@ from repro.query.dtopl import DTopLProcessor, dtopl_icde
 from repro.serve.batch import BatchQueryEngine, BatchResult, BatchStatistics, ServingConfig
 from repro.serve.cache import LRUCache
 from repro.service.facade import CommunityService
-from repro.service.gateway import ServiceGateway
+from repro.service.agateway import AsyncServiceGateway
 
 __all__ = [
     "EngineConfig",
@@ -103,6 +103,6 @@ __all__ = [
     "ServingConfig",
     "LRUCache",
     "CommunityService",
-    "ServiceGateway",
+    "AsyncServiceGateway",
     "__version__",
 ]

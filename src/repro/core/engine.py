@@ -19,9 +19,8 @@ Example
 from __future__ import annotations
 
 import time
-import warnings
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from repro.core.config import EngineConfig
 from repro.exceptions import QueryParameterError
@@ -658,50 +657,6 @@ class InfluentialCommunityEngine:
             start_method=start_method,
         )
         return BatchQueryEngine(self, config=config, pruning=pruning)
-
-    def topl_many(
-        self,
-        queries: Sequence[TopLQuery],
-        workers: int = 1,
-        pruning: Optional[PruningConfig] = None,
-    ) -> list[TopLResult]:
-        """Answer many TopL-ICDE queries (order-stable); a one-shot batch.
-
-        .. deprecated::
-            Route batches through :class:`repro.service.CommunityService`
-            (adopt the engine as a session and issue a
-            :class:`~repro.service.schema.BatchRequest`); session serving
-            keeps caches warm across batches, which a one-shot cannot.
-        """
-        warnings.warn(
-            "InfluentialCommunityEngine.topl_many() is deprecated; adopt the "
-            "engine into a repro.service.CommunityService session and issue a "
-            "BatchRequest instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.serve(workers=workers, pruning=pruning).run(queries))
-
-    def dtopl_many(
-        self,
-        queries: Sequence[DTopLQuery],
-        workers: int = 1,
-        pruning: Optional[PruningConfig] = None,
-    ) -> list[DTopLResult]:
-        """Answer many DTopL-ICDE queries (order-stable); a one-shot batch.
-
-        .. deprecated::
-            Route batches through :class:`repro.service.CommunityService`,
-            as with :meth:`topl_many`.
-        """
-        warnings.warn(
-            "InfluentialCommunityEngine.dtopl_many() is deprecated; adopt the "
-            "engine into a repro.service.CommunityService session and issue a "
-            "BatchRequest instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.serve(workers=workers, pruning=pruning).run(queries))
 
     # ------------------------------------------------------------------ #
     # analysis helpers

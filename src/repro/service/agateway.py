@@ -1,26 +1,50 @@
-"""Async front door: keep-alive, coalescing and backpressure, stdlib only.
+"""HTTP front door: the service API over the wire, stdlib only.
 
-:class:`AsyncServiceGateway` serves the same ``/v1`` surface as the threaded
-:class:`~repro.service.gateway.ServiceGateway`, but from a single
-``asyncio`` event loop ahead of the (sharded or plain) facade:
+:class:`AsyncServiceGateway` exposes a :class:`~repro.service.facade.CommunityService`
+(plain or sharded) from a single ``asyncio`` event loop:
 
-* **keep-alive** — HTTP/1.1 with ``Content-Length`` responses; one
-  connection carries any number of requests (``Connection: close`` only on
-  the NDJSON streaming path, which the closed connection delimits).
+================================  =============================================
+endpoint                          request / response document
+================================  =============================================
+``POST /v1/build``                :class:`~repro.service.schema.BuildRequest`
+``POST /v1/topl``                 :class:`~repro.service.schema.ToplRequest`
+``POST /v1/dtopl``                :class:`~repro.service.schema.DToplRequest`
+``POST /v1/update``               :class:`~repro.service.schema.UpdateRequest`
+``POST /v1/batch``                :class:`~repro.service.schema.BatchRequest`
+``GET  /v1/sessions``             :class:`~repro.service.schema.SessionsResponse`
+``GET  /v1/health``               :class:`~repro.service.schema.HealthResponse`
+================================  =============================================
+
+Success responses are ``application/json``.  Errors are
+:class:`~repro.service.schema.ErrorResponse` documents whose HTTP status
+comes from the structured error code (404 for ``UNKNOWN_SESSION``, 422 for
+``QUERY_PARAMETER_INVALID``, ...), so remote clients can branch on either.
+
+* **keep-alive** — HTTP/1.1 with ``Content-Length`` bodies; one connection
+  carries any number of requests.  A request whose body cannot be framed
+  (bad ``Content-Length``, any ``Transfer-Encoding``, an unparseable request
+  line) gets ``MALFORMED_REQUEST`` and ``Connection: close``, because the
+  bytes after it cannot be trusted.  ``Expect: 100-continue`` is answered
+  before the body is read.
 * **coalescing** — identical in-flight *read* requests (``topl``, ``dtopl``,
   buffered ``batch``) execute once; every waiter gets the same response
   document.  Mutations (``build``, ``update``) are never coalesced.
 * **backpressure** — at most ``max_pending`` requests execute concurrently;
   beyond that the gateway answers ``429`` with a ``Retry-After`` header
-  instead of piling up unbounded threads.
+  instead of queueing without bound.
+* **NDJSON streaming** — ``POST /v1/batch?stream=1`` (or
+  ``Accept: application/x-ndjson``) writes one ``{"kind": "result"}`` line per
+  query as it completes, then one ``{"kind": "summary"}`` line; the closed
+  connection delimits the stream.
 * the facade's blocking work runs on the default executor, so the loop
   itself never blocks and slow queries do not starve health probes.
 
-The class mirrors ``ServiceGateway``'s shape — context manager for tests,
-``serve_forever`` for the CLI — so callers can swap front doors freely::
+Use it as a context manager (tests) or via ``serve_forever`` (the CLI)::
 
     with AsyncServiceGateway(service, port=0) as gateway:
         urllib.request.urlopen(gateway.url + "/v1/health")
+
+See ``docs/service.md`` for a curl walkthrough.
 """
 
 from __future__ import annotations
@@ -28,19 +52,26 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
+from http import HTTPStatus
 from typing import Optional
 from urllib.parse import urlparse
 
 from repro.exceptions import MalformedRequestError, ServingError
 from repro.service.errors import ServiceError, service_error_from_exception
 from repro.service.facade import CommunityService
-from repro.service.gateway import MAX_BODY_BYTES, _POST_ENDPOINTS
 from repro.service.schema import (
     SCHEMA_VERSION,
     BatchRequest,
     ErrorResponse,
     result_to_wire,
 )
+
+#: Largest request body the gateway will read, in bytes (64 MiB).  Inline
+#: graph documents are the only legitimately large payloads.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+_POST_ENDPOINTS = ("build", "topl", "dtopl", "update", "batch")
 
 #: Endpoints whose identical in-flight requests may share one execution.
 #: Reads only: coalescing a mutation would acknowledge work it did once.
@@ -63,25 +94,19 @@ class AsyncServiceGateway:
     max_pending:
         Concurrent-execution bound; further requests get ``429``.
         Coalesced waiters do not count — they hold no executor slot.
-    coalesce:
-        Disable to measure the cost of duplicate execution (benchmarks).
     """
 
     def __init__(
         self,
         service: Optional[CommunityService] = None,
         host: str = "127.0.0.1",
-        port: int = 8345,
+        port: int = 8344,
         max_pending: int = 64,
-        coalesce: bool = True,
-        verbose: bool = False,
     ) -> None:
         self.service = service if service is not None else CommunityService()
         self._host = host
         self._requested_port = port
         self.max_pending = max_pending
-        self.coalesce = coalesce
-        self.verbose = verbose
         self._port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -204,11 +229,16 @@ class AsyncServiceGateway:
         self._stats["connections"] += 1
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader, writer)
+                except MalformedRequestError as error:
+                    # The body was not consumed, so the next bytes would be
+                    # misparsed as a request line: answer once, then close.
+                    await self._send_failure(writer, error, close=True)
+                    break
                 if request is None:
                     break
-                keep_alive = await self._dispatch(request, writer)
-                if not keep_alive:
+                if not await self._dispatch(request, writer):
                     break
         except (
             ConnectionResetError,
@@ -226,8 +256,12 @@ class AsyncServiceGateway:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _read_request(self, reader) -> Optional[dict]:
-        """Parse one HTTP request; ``None`` on a clean EOF between requests."""
+    async def _read_request(self, reader, writer) -> Optional[dict]:
+        """Parse one HTTP request; ``None`` on a clean EOF between requests.
+
+        Raises :class:`MalformedRequestError` when the head does not frame a
+        body this gateway can read.
+        """
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as error:
@@ -236,8 +270,8 @@ class AsyncServiceGateway:
             raise
         request_line, *header_lines = head.decode("latin-1").split("\r\n")
         parts = request_line.split()
-        if len(parts) != 3:
-            raise asyncio.IncompleteReadError(partial=head, expected=None)
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise MalformedRequestError(f"unparseable request line {request_line!r:.80}")
         method, target, version = parts
         headers = {}
         for line in header_lines:
@@ -245,20 +279,30 @@ class AsyncServiceGateway:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            raise MalformedRequestError(
+                "Transfer-Encoding is not supported; send a Content-Length body"
+            )
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise MalformedRequestError(f"invalid Content-Length header {length!r:.40}")
+        length = int(length)
+        if length > MAX_BODY_BYTES:
+            raise MalformedRequestError(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES} limit"
+            )
         body = b""
-        length = int(headers.get("content-length", "0") or "0")
-        if 0 < length <= MAX_BODY_BYTES:
+        if length:
+            if headers.get("expect", "").lower() == "100-continue":
+                writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+                await writer.drain()
             body = await reader.readexactly(length)
-        elif length > MAX_BODY_BYTES:
-            # Oversized: do not read it; the dispatcher answers 413 + close.
-            pass
         return {
             "method": method,
             "target": target,
             "version": version,
             "headers": headers,
             "body": body,
-            "content_length": length,
         }
 
     def _wants_close(self, request: dict) -> bool:
@@ -274,11 +318,8 @@ class AsyncServiceGateway:
         self, writer, status: int, document: dict, extra_headers=(), close=False
     ) -> bool:
         body = json.dumps(document).encode("utf-8")
-        reason = {200: "OK", 404: "Not Found", 429: "Too Many Requests"}.get(
-            status, "Error"
-        )
         head = [
-            f"HTTP/1.1 {status} {reason}",
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
             "Content-Type: application/json",
             f"Content-Length: {len(body)}",
         ]
@@ -300,6 +341,13 @@ class AsyncServiceGateway:
             writer, status, document.to_json(), extra_headers=extra_headers, close=close
         )
 
+    async def _send_failure(self, writer, error: BaseException, close: bool) -> bool:
+        """Answer with the structured error document for ``error``."""
+        failure = ErrorResponse(error=service_error_from_exception(error))
+        return await self._send_json(
+            writer, failure.error.http_status, failure.to_json(), close=close
+        )
+
     # ------------------------------------------------------------------ #
     # dispatch
     # ------------------------------------------------------------------ #
@@ -309,18 +357,6 @@ class AsyncServiceGateway:
         method = request["method"]
         parsed = urlparse(request["target"])
         path = parsed.path.rstrip("/")
-
-        if request["content_length"] > MAX_BODY_BYTES:
-            # The oversized body was never read off the socket: must close.
-            await self._send_error(
-                writer,
-                413,
-                "MALFORMED_REQUEST",
-                f"request body of {request['content_length']} bytes exceeds "
-                f"the {MAX_BODY_BYTES} limit",
-                close=True,
-            )
-            return False
 
         if method == "GET":
             loop = asyncio.get_running_loop()
@@ -359,13 +395,7 @@ class AsyncServiceGateway:
         try:
             payload = self._decode_body(request["body"])
         except MalformedRequestError as error:
-            failure = ErrorResponse(error=service_error_from_exception(error))
-            return (
-                await self._send_json(
-                    writer, failure.error.http_status, failure.to_json(), close=not keep
-                )
-                and keep
-            )
+            return await self._send_failure(writer, error, close=not keep) and keep
 
         if endpoint == "batch" and self._wants_stream(request, parsed.query):
             await self._stream_batch(writer, payload)
@@ -407,7 +437,7 @@ class AsyncServiceGateway:
         """Run one facade call off-loop, coalescing identical in-flight reads."""
         loop = asyncio.get_running_loop()
         key = None
-        if self.coalesce and endpoint in _COALESCABLE:
+        if endpoint in _COALESCABLE:
             try:
                 key = (endpoint, json.dumps(payload, sort_keys=True))
             except (TypeError, ValueError):  # unhashable/unserialisable: skip
@@ -438,8 +468,6 @@ class AsyncServiceGateway:
     # NDJSON streaming
     # ------------------------------------------------------------------ #
     async def _stream_batch(self, writer, payload) -> None:
-        import time
-
         loop = asyncio.get_running_loop()
         try:
             request = BatchRequest.from_json(payload)
@@ -448,11 +476,8 @@ class AsyncServiceGateway:
                     "pruning overrides are not supported on the streaming batch path"
                 )
             engine = self.service.engine(request.session)
-        except Exception as error:
-            failure = ErrorResponse(error=service_error_from_exception(error))
-            await self._send_json(
-                writer, failure.error.http_status, failure.to_json(), close=True
-            )
+        except Exception as error:  # rejected before the stream started
+            await self._send_failure(writer, error, close=True)
             return
 
         self._stats["streamed"] += 1
@@ -511,18 +536,3 @@ class AsyncServiceGateway:
             line["kind"] = "error"
             await write_line(line)
 
-
-def run_async_gateway(
-    service: Optional[CommunityService] = None,
-    host: str = "127.0.0.1",
-    port: int = 8345,
-    max_pending: int = 64,
-) -> None:
-    """Run the async front door in the foreground (the sharded CLI path)."""
-    gateway = AsyncServiceGateway(service, host=host, port=port, max_pending=max_pending)
-    try:
-        gateway.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        gateway.shutdown()

@@ -9,8 +9,8 @@ import urllib.request
 import pytest
 
 from repro.query.params import make_dtopl_query, make_topl_query
+from repro.service.agateway import AsyncServiceGateway
 from repro.service.facade import CommunityService
-from repro.service.gateway import ServiceGateway
 from repro.service.schema import (
     SCHEMA_VERSION,
     BatchRequest,
@@ -30,7 +30,7 @@ DTOPL = make_dtopl_query({"movies"}, k=3, radius=2, theta=0.2, top_l=2)
 def gateway(built_engine):
     service = CommunityService()
     service.adopt(built_engine, session="hosted")
-    with ServiceGateway(service, port=0) as running:
+    with AsyncServiceGateway(service, port=0) as running:
         yield running
 
 

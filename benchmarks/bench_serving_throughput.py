@@ -75,9 +75,10 @@ def build_backend_engine(graph, backend: str):
 def measure_backends(graph, queries) -> dict:
     """Sequential cache-off serving on each graph-core backend.
 
-    Records offline build seconds and batch queries/sec per backend, and
-    asserts the answers are identical — the backend switch is a pure
-    performance knob, never a semantics knob.
+    Records offline build seconds and batch queries/sec per backend, the
+    fast/reference ratio of each (``offline_build_speedup``,
+    ``online_query_speedup``), and asserts the answers are identical — the
+    backend switch is a pure performance knob, never a semantics knob.
     """
     measurements = {}
     fingerprints = {}
@@ -102,6 +103,11 @@ def measure_backends(graph, queries) -> dict:
     fast_build = measurements["fast"]["offline_build_seconds"]
     if fast_build > 0:
         measurements["offline_build_speedup"] = round(reference_build / fast_build, 3)
+    reference_qps = measurements["reference"]["queries_per_second"]
+    if reference_qps > 0:
+        measurements["online_query_speedup"] = round(
+            measurements["fast"]["queries_per_second"] / reference_qps, 3
+        )
     return measurements
 
 
@@ -357,7 +363,8 @@ def main(argv=None) -> int:
         f"(build {backends['reference']['offline_build_seconds']:.2f}s) vs "
         f"fast {backends['fast']['queries_per_second']:.2f} q/s "
         f"(build {backends['fast']['offline_build_seconds']:.2f}s, "
-        f"{backends.get('offline_build_speedup', '?')}x build speedup)"
+        f"{backends.get('offline_build_speedup', '?')}x build speedup, "
+        f"{backends.get('online_query_speedup', '?')}x query speedup)"
     )
 
     baseline = measurements[0]["rounds"][0]["queries_per_second"]

@@ -10,6 +10,9 @@ ints — but runs over the CSR buffers of a
   (vs :func:`repro.truss.decomposition.truss_decomposition`);
 * :class:`CSRWorkspace` ``.bfs_ball`` — hop balls with stamp reset
   (vs :func:`repro.graph.traversal.bfs_distances`);
+* :func:`seed_community_csr` — a masked ball and one warm-started
+  k-truss peel
+  (vs :func:`repro.query.seed.extract_seed_community`);
 * :class:`CSRWorkspace` ``.propagate`` / :func:`community_propagation_csr` —
   truncated multi-source max-product Dijkstra
   (vs :func:`repro.influence.propagation.community_propagation`).
@@ -532,6 +535,144 @@ class CSRWorkspace:
             best[vertex] = 0.0
             in_region[vertex] = 0
         return out
+
+
+class QualifiedArcs(dict):
+    """One query's memo of the arcs between qualified vertices.
+
+    ``mask[u]`` is the tuple of ``(edge id, neighbour)`` arcs of vertex int
+    ``u`` whose neighbour qualifies (``qualifies(v)``, tested at most once
+    per vertex), computed on first access.  Candidate centres of one query
+    share most of their balls, so this pays for each vertex's arc scan once
+    per query, not once per centre.  The memo is only valid while the
+    workspace's core does not change, so build one per query.
+    """
+
+    __slots__ = ("_edge_arcs", "_verdicts", "_qualifies")
+
+    def __init__(self, workspace: CSRWorkspace, qualifies) -> None:
+        super().__init__()
+        workspace.ensure_entries()
+        self._edge_arcs = workspace.edge_arcs
+        self._verdicts: dict[int, bool] = {}
+        self._qualifies = qualifies
+
+    def qualified(self, vertex: int) -> bool:
+        """Whether ``vertex`` qualifies (memoised)."""
+        verdict = self._verdicts.get(vertex)
+        if verdict is None:
+            verdict = self._verdicts[vertex] = self._qualifies(vertex)
+        return verdict
+
+    def __missing__(self, vertex: int) -> tuple:
+        qualified = self.qualified
+        arcs = self[vertex] = tuple(
+            arc for arc in self._edge_arcs[vertex] if qualified(arc[1])
+        )
+        return arcs
+
+
+def seed_community_csr(mask: QualifiedArcs, center: int, radius: int, k: int) -> Optional[set]:
+    """Vertex ints of the seed community centred at ``center``, or ``None``.
+
+    The int-id twin of :func:`repro.query.seed.extract_seed_community`
+    (see that module for the rules it ports), over the query's
+    :class:`QualifiedArcs` ``mask``.
+
+    1. **Masked ball**: BFS from ``center`` out to ``radius`` hops
+       through qualified vertices with at least ``k - 1`` qualified
+       neighbours only.  Every member of the community is within
+       ``radius`` hops of the centre *inside* the community, all of whose
+       vertices pass that test, so the ball contains it.
+    2. **One count, warm-started peel**: supports of the ball's induced
+       edges are counted once; the k-truss peel and every later
+       fixed-point round only remove edges, each removal decrementing
+       the two other edges of every triangle it breaks.
+    3. **Fixed point**: keep the centre's component over the surviving
+       truss edges, then drop what is beyond ``radius`` hops over the
+       *induced* edges of the current vertex set (peeled edges
+       included); cut the dropped vertices' truss edges, re-peel,
+       repeat.
+    """
+    # A vertex of a k-truss has at least k - 1 neighbours in it, all of
+    # which qualify; fewer qualified arcs rule a vertex out.
+    min_degree = k - 1
+    if not mask.qualified(center) or len(mask[center]) < min_degree:
+        return None
+    depth = {center: 0}
+    order = [center]
+    for vertex in order:
+        next_depth = depth[vertex] + 1
+        if next_depth > radius:
+            break
+        for _, neighbour in mask[vertex]:
+            if neighbour not in depth and len(mask[neighbour]) >= min_degree:
+                depth[neighbour] = next_depth
+                order.append(neighbour)
+    if len(order) < 2:
+        return None
+
+    # Truss rows {neighbour: edge id}; they shrink as edges peel off.
+    rows = {u: {w: e for e, w in mask[u] if w in depth} for u in order}
+    need = k - 2
+    support: dict[int, int] = {}
+    doomed: list[tuple[int, int]] = []
+    if need > 0:
+        for u, row in rows.items():
+            keys = row.keys()
+            for w, e in row.items():
+                if w > u:
+                    count = len(keys & rows[w].keys())
+                    support[e] = count
+                    if count < need:
+                        doomed.append((u, w))
+
+    def cut(u: int, w: int) -> None:
+        row_u, row_w = rows[u], rows[w]
+        del row_u[w], row_w[u]
+        if need > 0:
+            for x in row_u.keys() & row_w.keys():
+                for tail, e in ((u, row_u[x]), (w, row_w[x])):
+                    count = support[e] - 1
+                    support[e] = count
+                    if count == need - 1:
+                        doomed.append((tail, x))
+
+    while True:
+        while doomed:
+            u, w = doomed.pop()
+            if w in rows[u]:
+                cut(u, w)
+        if not rows[center]:
+            return None
+        # The centre's truss component.  Truss edges never join two
+        # components, so vertices outside it share no triangle with it
+        # and leave without touching any support.
+        alive = {center}
+        stack = [center]
+        while stack:
+            for w in rows[stack.pop()]:
+                if w not in alive:
+                    alive.add(w)
+                    stack.append(w)
+        # Radius over the induced edges of the alive set (every ball
+        # vertex qualifies, so the masked arcs are all of them).
+        depth = {center: 0}
+        order = [center]
+        for vertex in order:
+            next_depth = depth[vertex] + 1
+            if next_depth > radius:
+                break
+            for _, w in mask[vertex]:
+                if w in alive and w not in depth:
+                    depth[w] = next_depth
+                    order.append(w)
+        if len(order) == len(alive):
+            return alive
+        for x in alive:
+            if x not in depth:
+                for w in list(rows[x]):
+                    cut(x, w)
 
 
 def bfs_hop_ball(csr: CSRGraph, source: int, radius: int) -> dict[int, int]:

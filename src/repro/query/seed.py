@@ -15,6 +15,25 @@ point is reached.  Both reductions only ever *remove* vertices, so the loop
 terminates after at most ``|hop(v_q, r)|`` iterations; the result is the
 unique maximal subgraph satisfying all constraints (each constraint is
 monotone: any satisfying subgraph is contained in the fixed point).
+
+Two rules pin down what "connected" and "within ``r`` hops" mean:
+
+* **Connectivity** runs over the surviving *truss* edges: the truss
+  reduction keeps the component of ``v_q`` in the graph formed by the edges
+  of the maximal k-truss of the current vertex set, not in its induced
+  subgraph.
+* **Radius** runs over the *induced* subgraph of the current vertex set: an
+  edge between two current vertices counts for hop distances even when the
+  truss peel removed it.
+
+Because the fixed point is unique, any start set that contains it reaches
+it.  The fast backend (:class:`CSRSeedExtractor`) exploits that: it starts
+from the ``r``-hop ball grown through *qualified* vertices only — vertices
+with a query keyword whose trussness in ``G`` is at least ``k`` (a vertex of
+a k-truss of any subgraph of ``G`` has trussness at least ``k`` in ``G``;
+Huang et al., SIGMOD 2014) — and peels it over int ids with supports
+counted once.  The dict extractor stays the reference backend's path and
+the oracle the equivalence suite checks the fast one against.
 """
 
 from __future__ import annotations
@@ -33,11 +52,58 @@ def keyword_qualified_vertices(view: SubgraphView, keywords: frozenset) -> froze
     return frozenset(v for v in view if view.keywords(v) & keywords)
 
 
+class CSRSeedExtractor:
+    """Extracts the seed communities of one query over a CSR workspace.
+
+    The fast backend's extractor: runs
+    :func:`~repro.fastgraph.kernels.seed_community_csr` over the
+    workspace's core with int ids and maps the result back to original
+    vertex ids.  A vertex *qualifies* when it carries a query keyword and
+    its trussness (``center_trussness`` of its record in ``index``, kept
+    current by dynamic updates) is at least ``k``.  Build one per query:
+    it memoises what it learns about every vertex it touches
+    (:class:`~repro.fastgraph.kernels.QualifiedArcs`).
+    """
+
+    __slots__ = ("_query", "_index_of", "_id_of", "_mask", "_kernel")
+
+    def __init__(self, workspace, query: TopLQuery, index) -> None:
+        # Deferred import keeps repro.query importable without the
+        # fastgraph package loaded (reference-only deployments).
+        from repro.fastgraph.kernels import QualifiedArcs, seed_community_csr
+
+        core = workspace.core
+        keywords_of = core.keywords_of
+        id_of = core.table.id_of
+        aggregates_of = index.vertex_aggregates
+        keywords, k = query.keywords, query.k
+
+        def qualifies(vertex: int) -> bool:
+            return bool(keywords_of(vertex) & keywords) and (
+                aggregates_of(id_of(vertex)).center_trussness >= k
+            )
+
+        self._query = query
+        self._index_of = core.table.index_of
+        self._id_of = id_of
+        self._mask = QualifiedArcs(workspace, qualifies)
+        self._kernel = seed_community_csr
+
+    def extract(self, center: VertexId) -> Optional[frozenset]:
+        """The seed community of ``center``, as :func:`extract_seed_community` returns it."""
+        query = self._query
+        members = self._kernel(self._mask, self._index_of(center), query.radius, query.k)
+        if members is None:
+            return None
+        return frozenset(map(self._id_of, members))
+
+
 def extract_seed_community(
     graph: SocialNetwork,
     center: VertexId,
     query: TopLQuery,
     candidate_view: Optional[SubgraphView] = None,
+    extractor: Optional[CSRSeedExtractor] = None,
 ) -> Optional[frozenset]:
     """Extract the seed community centred at ``center`` for ``query``.
 
@@ -53,6 +119,10 @@ def extract_seed_community(
         Optionally, a pre-computed ``hop(center, radius)`` view to avoid
         recomputing the BFS (the online algorithm passes the view it already
         materialised for pruning).
+    extractor:
+        Optionally, the fast backend's :class:`CSRSeedExtractor` for
+        ``query``; when given, extraction runs over its CSR workspace
+        (identical result) and ``candidate_view`` is ignored.
 
     Returns
     -------
@@ -62,6 +132,8 @@ def extract_seed_community(
     """
     if not graph.has_vertex(center):
         return None
+    if extractor is not None:
+        return extractor.extract(center)
     if not graph.keywords(center) & query.keywords:
         # The centre itself must carry a query keyword (it is part of g).
         return None

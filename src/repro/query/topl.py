@@ -31,7 +31,7 @@ from repro.pruning.rules import (
 from repro.pruning.stats import PruningConfig, PruningCounters
 from repro.query.params import TopLQuery
 from repro.query.results import QueryStatistics, SeedCommunity, TopLResult
-from repro.query.seed import extract_seed_community
+from repro.query.seed import CSRSeedExtractor, extract_seed_community
 
 
 @dataclass
@@ -114,8 +114,12 @@ class TopLProcessor:
         ``"reference"`` scores candidate communities with the dict-based
         :func:`~repro.influence.propagation.community_propagation`;
         ``"fast"`` scores them over an array snapshot of the graph
-        (identical floats — see :mod:`repro.fastgraph`).  Candidate
-        extraction always runs on the reference structures.
+        (identical floats — see :mod:`repro.fastgraph`).  Seed-community
+        extraction follows the backend too: the reference backend
+        materialises ``hop(v, r)`` as a dict view for
+        :func:`~repro.query.seed.extract_seed_community`; the fast backend
+        passes it a :class:`~repro.query.seed.CSRSeedExtractor` over the
+        workspace (identical vertex sets).
     frozen:
         Optional pre-built :class:`~repro.fastgraph.csr.CSRGraph` snapshot
         for the ``fast`` backend (the engine shares one across processors);
@@ -186,6 +190,11 @@ class TopLProcessor:
         # (every member of a dense cluster is a valid centre for it); scoring
         # is the expensive step, so communities are deduplicated before it.
         scored_vertex_sets: set[frozenset] = set()
+        extractor = (
+            CSRSeedExtractor(self._fast_workspace(), query, self.index)
+            if self.backend == "fast"
+            else None
+        )
 
         while heap:
             negative_key, _, node = heapq.heappop(heap)
@@ -200,7 +209,7 @@ class TopLProcessor:
                     statistics.visited_leaf_vertices += 1
                     community = self._process_leaf_vertex(
                         vertex, query, query_bv, results, counters, statistics,
-                        scored_vertex_sets,
+                        scored_vertex_sets, extractor,
                     )
                     if community is not None:
                         results.consider(community)
@@ -260,6 +269,7 @@ class TopLProcessor:
         counters: PruningCounters,
         statistics: QueryStatistics,
         scored_vertex_sets: set,
+        extractor: Optional[CSRSeedExtractor],
     ) -> Optional[SeedCommunity]:
         """Apply community-level pruning to a candidate centre, then refine it."""
         statistics.candidates_examined += 1
@@ -287,10 +297,14 @@ class TopLProcessor:
             counters.score += 1
             return None
 
-        # Refinement: materialise hop(v, r), extract the seed community and
-        # score it exactly.
-        candidate_view = hop_subgraph(self.graph, vertex, query.radius)
-        vertices = extract_seed_community(self.graph, vertex, query, candidate_view)
+        # Refinement: extract the seed community and score it exactly.  The
+        # reference backend materialises hop(v, r) first; the fast extractor
+        # grows its own keyword- and trussness-masked ball.
+        if extractor is None:
+            candidate_view = hop_subgraph(self.graph, vertex, query.radius)
+            vertices = extract_seed_community(self.graph, vertex, query, candidate_view)
+        else:
+            vertices = extract_seed_community(self.graph, vertex, query, extractor=extractor)
         if not vertices:
             counters.radius += 1
             return None
@@ -326,6 +340,20 @@ class TopLProcessor:
         """Score a community on the configured backend (identical results)."""
         if self.backend != "fast":
             return community_propagation(self.graph, vertices, theta)
+        from repro.fastgraph.kernels import community_propagation_csr
+
+        workspace = self._fast_workspace()
+        return community_propagation_csr(
+            workspace.core, vertices, theta, workspace=workspace
+        )
+
+    def _fast_workspace(self):
+        """The fast backend's kernel workspace, built on first use.
+
+        Processors built without one (direct construction, serving
+        workers) freeze the graph and build it here, once; extraction and
+        scoring share it.
+        """
         if self._workspace is None:
             # Deferred import keeps repro.query importable without the
             # fastgraph package loaded (reference-only deployments).
@@ -334,11 +362,7 @@ class TopLProcessor:
             if self._frozen is None:
                 self._frozen = self.graph.freeze()
             self._workspace = make_workspace(self._frozen, self.kernel_tier)
-        from repro.fastgraph.kernels import community_propagation_csr
-
-        return community_propagation_csr(
-            self._frozen, vertices, theta, workspace=self._workspace
-        )
+        return self._workspace
 
 
 def topl_icde(

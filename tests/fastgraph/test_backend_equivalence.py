@@ -80,8 +80,29 @@ def assert_precomputed_equal(ours, reference, context) -> None:
             assert fast_r.score_bounds == ref_r.score_bounds, (context, vertex, radius)
 
 
+#: The deterministic ``QueryStatistics`` counters: index traversal, the
+#: pruning of each rule and early termination must not drift across
+#: backends either (timings and cache counters are not compared).
+_COUNTERS = (
+    "visited_index_nodes",
+    "visited_leaf_vertices",
+    "candidates_examined",
+    "communities_scored",
+    "pruned_by_keyword",
+    "pruned_by_support",
+    "pruned_by_score",
+    "pruned_by_radius",
+    "pruned_index_entries",
+    "heap_terminated_early",
+)
+
+
 def _fingerprint(result):
-    return tuple((c.center, c.vertices, c.score) for c in result)
+    statistics = result.statistics
+    return (
+        tuple((c.center, c.vertices, c.score) for c in result),
+        tuple((name, getattr(statistics, name)) for name in _COUNTERS),
+    )
 
 
 def _check_precompute(seed: int) -> None:
